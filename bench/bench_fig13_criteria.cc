@@ -78,6 +78,7 @@ void RunDynamic(const WorkloadSpec& spec, int k, double update_fraction,
       options.min_support_fraction = sup;
       options.partition.k = k;
       options.partition.criteria = c.value;
+      options.keep_frontiers = true;  // IncPartMiner updates this state.
       PartMiner miner(options);
       miner.Mine(db);
 

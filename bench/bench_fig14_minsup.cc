@@ -56,11 +56,14 @@ void RunDynamic(const WorkloadSpec& spec, int k, double update_fraction,
   for (const double sup : kSupports) {
     GraphDatabase db = MakeWorkload(spec);
 
-    // Pre-update state for the incremental miner.
+    // Pre-update state for the incremental miner, which keeps the frontier
+    // caches; the full re-run below mines one-shot without them.
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.partition.k = k;
-    PartMiner miner(options);
+    PartMinerOptions inc_options = options;
+    inc_options.keep_frontiers = true;
+    PartMiner miner(inc_options);
     miner.Mine(db);
 
     AdiMineOptions adi_opts;

@@ -70,6 +70,7 @@ void RunDynamic(const WorkloadSpec& spec, double sup, double update_fraction,
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.partition.k = k;
+    options.keep_frontiers = true;  // IncPartMiner updates this state.
     PartMiner miner(options);
     miner.Mine(db);
 

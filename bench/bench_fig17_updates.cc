@@ -37,6 +37,7 @@ void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.partition.k = k;
+    options.keep_frontiers = true;  // IncPartMiner updates this state.
     PartMiner miner(options);
     miner.Mine(db);
 

@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
     options.min_support_count = sup_count;
     options.partition.k = k;
     options.max_edges = max_edges;
+    options.keep_frontiers = true;
     PartMiner miner(options);
     miner.Mine(dyn);
 

@@ -38,6 +38,7 @@ int main() {
   options.min_support_fraction = 0.05;
   options.partition.k = 4;
   options.partition.criteria = PartitionCriteria::kCombined;  // Partition3.
+  options.keep_frontiers = true;  // The catalog is maintained incrementally.
   PartMiner miner(options);
   const PartMinerResult initial = miner.Mine(db);
   std::printf("initial catalog: %d frequent motifs (%.3fs)\n",

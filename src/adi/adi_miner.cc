@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
-#include <sstream>
+#include <atomic>
+#include <filesystem>
+#include <system_error>
 
 #include "common/logging.h"
 #include "common/timing.h"
@@ -14,11 +16,17 @@ namespace partminer {
 
 namespace {
 
+/// A fresh page-file path in the system temp directory ($TMPDIR when set).
 std::string UniqueTempPath() {
-  static int counter = 0;
-  std::ostringstream out;
-  out << "/tmp/partminer_adi_" << ::getpid() << "_" << counter++ << ".pages";
-  return out.str();
+  static std::atomic<int> counter{0};
+  std::error_code error;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path(error);
+  PM_CHECK(!error) << "no usable temp directory for the ADI page file: "
+                   << error.message();
+  return (dir / ("partminer_adi_" + std::to_string(::getpid()) + "_" +
+                 std::to_string(counter++) + ".pages"))
+      .string();
 }
 
 }  // namespace

@@ -55,6 +55,7 @@ PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
   MinerOptions mo;
   mo.min_support = options.min_support;
   mo.max_edges = options.max_edges;
+  mo.pool = options.pool;
   if (frontier_out != nullptr) {
     frontier_out->map.clear();
     frontier_out->valid = true;
@@ -111,11 +112,16 @@ class DeltaSweep {
     // remainder is exactly "pre-update containment that is still valid",
     // and the sweep re-adds post-update hits for the entries it reaches.
     // Entries it does not reach have no post-update occurrence in the
-    // updated graphs, so the stripped value is already exact.
+    // updated graphs, so the stripped value is already exact. An entry left
+    // empty is erased: absent means zero occurrences just the same.
     if (frontier_ != nullptr) {
-      for (auto& [code, tids] : *frontier_) {
-        (void)code;
-        tids -= updated_set_;
+      for (auto it = frontier_->begin(); it != frontier_->end();) {
+        it->second -= updated_set_;
+        if (it->second.Empty()) {
+          it = frontier_->erase(it);
+        } else {
+          ++it;
+        }
       }
     }
     engine::ExtensionMap roots = engine::CollectRootExtensions(upd_db_);
@@ -185,7 +191,11 @@ class DeltaSweep {
     info.code = *code;
     info.support = support;
     info.tids = std::move(tids);
-    out_->Upsert(std::move(info));
+    if (out_->Upsert(std::move(info)) && frontier_ != nullptr) {
+      // Pass 1 dropped it into the frontier; the updated graphs lifted it
+      // back over the threshold.
+      frontier_->erase(*code);
+    }
 
     if (static_cast<int>(code->size()) >= options_.max_edges) return;
     engine::ExtensionMap extensions = engine::CollectExtensions(
@@ -317,7 +327,11 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
   // Pass 1 — pure set arithmetic for every cached pattern: containment in
   // non-updated graphs is unchanged, so (old tids \ updated) is a certified
   // lower bound; patterns the sweep reaches below are overwritten with their
-  // full post-update info (which can only add updated-graph hits).
+  // full post-update info (which can only add updated-graph hits). A
+  // pattern that falls below the threshold moves to the frontier with its
+  // remaining TIDs: if the sweep never reaches it (no occurrence left in the
+  // updated graphs) those TIDs are exact, and a later round that brings it
+  // back must find them there rather than count it from zero.
   const TidSet updated_set = TidSet::FromVector(updated);
   PatternSet out;
   for (const PatternInfo& p : cached.patterns()) {
@@ -328,7 +342,11 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
     q.tids = p.tids;
     q.tids -= updated_set;
     q.support = q.tids.Count();
-    if (q.support >= options.min_support) out.Upsert(std::move(q));
+    if (q.support >= options.min_support) {
+      out.Upsert(std::move(q));
+    } else if (!q.tids.Empty()) {
+      frontier->map[q.code] = std::move(q.tids);
+    }
   }
 
   // Pass 2 — the frontier-backed delta sweep over the updated graphs. The

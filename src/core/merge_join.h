@@ -12,6 +12,8 @@
 
 namespace partminer {
 
+class ThreadPool;
+
 struct MergeJoinOptions {
   /// Absolute minimum support at this merge node. Children are expected to
   /// be complete at ceil(min_support / 2) — the paper's reduced-support rule
@@ -24,6 +26,11 @@ struct MergeJoinOptions {
   /// beyond this fraction a plain exact re-sweep is cheaper. Both paths are
   /// exact; this only picks the cheaper one.
   double delta_sweep_max_fraction = 0.15;
+
+  /// When non-null, MergeJoin's sweep fans its extension subtrees onto this
+  /// pool through MinerOptions::pool; the result is bit-identical to the
+  /// serial sweep. IncMergeJoin does not use it.
+  ThreadPool* pool = nullptr;
 };
 
 /// Work counters for the merge operators.
@@ -59,7 +66,10 @@ struct MergeJoinStats {
 /// Every pattern in the result carries exact support and TID lists for
 /// `node_db` (exact_tids set).
 /// `frontier_out`, when non-null, receives the node's mining frontier (see
-/// FrontierMap) for consumption by later IncMergeJoin calls.
+/// FrontierMap) for consumption by later IncMergeJoin calls. PartMiner
+/// passes one only for the root, and only when its keep_frontiers option is
+/// set; null skips the capture, which in one-shot mining is most of the
+/// sweep's time and memory.
 PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
                      const PatternSet& right, const MergeJoinOptions& options,
                      MergeJoinStats* stats, NodeFrontier* frontier_out);
@@ -84,9 +94,13 @@ PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
 /// re-generated or re-counted outside the updated graphs.
 /// `frontier` is the node's cached frontier (in/out): candidates looked up
 /// there are re-counted by set arithmetic alone, and the map is replaced by
-/// the post-update frontier. May be null (candidates absent from the cache
-/// then count as having had no pre-update occurrence, which is only correct
-/// when the frontier was captured — pass the map PartMiner recorded).
+/// the post-update frontier. A cached pattern that drops below the
+/// threshold moves into the frontier with its remaining TIDs, and entries
+/// left with no TIDs are erased (absent already means "no pre-update
+/// occurrence"). When `frontier` is null or not valid — PartMiner ran
+/// without keep_frontiers, or a large-update round skipped the capture —
+/// the node takes the exact re-sweep instead and, for a small update,
+/// captures a fresh frontier for the rounds after it.
 PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
                         const std::vector<int>& updated_graphs,
                         const MergeJoinOptions& options,

@@ -90,6 +90,13 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   node_frontiers_.assign(tree.size(), NodeFrontier());
   result.unit_mining_seconds.assign(partitioned_.k(), 0.0);
 
+  // One pool for the whole run: the units and their mining subtrees, then
+  // each merge node's sweep. Its width is exactly unit_mining_threads.
+  std::unique_ptr<ThreadPool> pool;
+  if (options_.unit_mining_threads > 0) {
+    pool = std::make_unique<ThreadPool>(options_.unit_mining_threads);
+  }
+
   // Phase 2a: mine every unit with the memory-based miner at its reduced
   // support (Figure 11 lines 4-5). Units are independent, so with
   // unit_mining_threads > 0 they run concurrently, each worker with its own
@@ -98,7 +105,7 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   for (size_t node = 0; node < tree.size(); ++node) {
     if (tree[node].left == -1) leaf_nodes.push_back(static_cast<int>(node));
   }
-  auto mine_unit = [&](int node, ThreadPool* pool) {
+  auto mine_unit = [&](int node) {
     const int unit_index = tree[node].lo;
     PM_TRACE_SPAN("unit_mine",
                   {{"unit", unit_index}, {"support", NodeSupport(node)}});
@@ -107,9 +114,11 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     MinerOptions miner_options;
     miner_options.min_support = NodeSupport(node);
     miner_options.max_edges = options_.max_edges;
-    miner_options.capture_frontier = &node_frontiers_[node].map;
-    miner_options.pool = pool;
-    node_frontiers_[node].valid = true;
+    miner_options.pool = pool.get();
+    if (options_.keep_frontiers) {
+      miner_options.capture_frontier = &node_frontiers_[node].map;
+      node_frontiers_[node].valid = true;
+    }
     std::unique_ptr<FrequentSubgraphMiner> unit_miner = MakeUnitMiner();
     node_patterns_[node] = unit_miner->Mine(unit_db, miner_options);
     result.unit_mining_seconds[unit_index] = watch.ElapsedSeconds();
@@ -118,11 +127,11 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   };
   {
     PM_TRACE_SPAN("unit_mining", {{"units", leaf_nodes.size()}});
-    if (options_.unit_mining_threads > 0) {
-      // Pool width is exactly unit_mining_threads. Units and their mining
-      // subtrees share the pool: a unit that finishes early frees workers
-      // to steal extension subtrees of a still-running heavy unit, which is
-      // what keeps the makespan near max-unit instead of sum-of-stragglers.
+    if (pool != nullptr) {
+      // Units and their mining subtrees share the pool: a unit that
+      // finishes early frees workers to steal extension subtrees of a
+      // still-running heavy unit, which is what keeps the makespan near
+      // max-unit instead of sum-of-stragglers.
       //
       // Longest-unit-first: units are claimed in descending assigned-vertex
       // order through a shared counter, so whichever task body runs first
@@ -136,23 +145,25 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
       std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return unit_vertices[tree[a].lo] > unit_vertices[tree[b].lo];
       });
-      ThreadPool pool(options_.unit_mining_threads);
       std::atomic<size_t> next{0};
-      TaskGroup group(&pool);
+      TaskGroup group(pool.get());
       for (size_t t = 0; t < order.size(); ++t) {
         group.Spawn([&]() {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          mine_unit(order[i], &pool);
+          mine_unit(order[i]);
         });
       }
       group.Wait();
     } else {
-      for (const int node : leaf_nodes) mine_unit(node, nullptr);
+      for (const int node : leaf_nodes) mine_unit(node);
     }
   }
 
   // Phase 2b: merge-join bottom-up (Figure 11 lines 9-17). Nodes are stored
   // preorder, so iterating in reverse index order visits children first.
+  // Each node's sweep fans out on the pool; the nodes themselves run one
+  // after another. Only the root's frontier is captured: an incremental
+  // round re-merges the root alone and never reads an interior frontier.
   Stopwatch merge_watch;
   {
     PM_TRACE_SPAN("merge");
@@ -165,10 +176,13 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
       MergeJoinOptions mj;
       mj.min_support = NodeSupport(node);
       mj.max_edges = options_.max_edges;
+      mj.pool = pool.get();
+      const bool capture =
+          options_.keep_frontiers && node == partitioned_.root();
       node_patterns_[node] =
           MergeJoin(node_db, node_patterns_[tree[node].left],
                     node_patterns_[tree[node].right], mj, &result.merge_stats,
-                    &node_frontiers_[node]);
+                    capture ? &node_frontiers_[node] : nullptr);
     }
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();

@@ -34,14 +34,25 @@ struct PartMinerOptions {
   /// above which the incremental merge falls back to an exact re-sweep.
   double inc_delta_sweep_max_fraction = 0.15;
 
-  /// Number of threads for unit mining — the width of the work-stealing
-  /// pool (see common/thread_pool.h). 0 mines units serially (the default;
-  /// the *parallel time* metric is still reported). Positive values run
-  /// units concurrently in longest-unit-first order — "PartMiner is
-  /// inherently parallel in nature" (Section 1) — and additionally fan the
-  /// unit miners' extension subtrees onto the same pool, so idle workers
-  /// steal work from a straggling unit instead of waiting for it.
+  /// Number of threads for unit mining and the merge sweeps — the width of
+  /// the one work-stealing pool a Mine() call creates (see
+  /// common/thread_pool.h). 0 runs everything serially (the default; the
+  /// *parallel time* metric is still reported). Positive values run units
+  /// concurrently in longest-unit-first order — "PartMiner is inherently
+  /// parallel in nature" (Section 1) — fan the unit miners' extension
+  /// subtrees onto the same pool, so idle workers steal work from a
+  /// straggling unit instead of waiting for it, and then fan each merge
+  /// node's sweep (the root's included) onto that pool as well.
   int unit_mining_threads = 0;
+
+  /// Whether Mine() records the frontier caches (node_frontiers()) that
+  /// IncPartMiner's delta sweep reads. Off for one-shot mining, where the
+  /// cache is never read; callers that go on to incremental updates turn it
+  /// on. Only the leaves and the root are captured — the only nodes whose
+  /// frontiers an incremental round reads (DESIGN.md, "lazy interior").
+  /// With it off, the first IncPartMiner round takes the exact re-sweep at
+  /// each node it touches and captures the frontier there.
+  bool keep_frontiers = false;
 };
 
 /// Outcome of one PartMiner run, including the timing decomposition the
@@ -81,8 +92,9 @@ struct PartMinerResult {
 /// for other k it is the strict-halving generalization that Theorem 3's
 /// pigeonhole argument actually requires (see DESIGN.md).
 ///
-/// After Mine() the object retains the partition, the per-node pattern sets
-/// and the verified result — the state IncPartMiner updates incrementally.
+/// After Mine() the object retains the partition, the per-node pattern sets,
+/// the verified result and, with keep_frontiers, the leaf and root frontier
+/// caches — the state IncPartMiner updates incrementally.
 class PartMiner {
  public:
   explicit PartMiner(const PartMinerOptions& options);
@@ -103,7 +115,9 @@ class PartMiner {
   }
   std::vector<PatternSet>& mutable_node_patterns() { return node_patterns_; }
   /// Mining frontier per merge-tree node (see FrontierMap) — the cache that
-  /// makes IncMergeJoin isomorphism-free.
+  /// makes IncMergeJoin isomorphism-free. Filled at the leaves and the root
+  /// only when options().keep_frontiers is set; otherwise every entry is
+  /// empty and invalid.
   const std::vector<NodeFrontier>& node_frontiers() const {
     return node_frontiers_;
   }

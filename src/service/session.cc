@@ -38,6 +38,13 @@ Status RecordInjectedFault(FaultInjector::Op op, const std::string& context) {
   return FaultInjector::InjectedFault(op, context);
 }
 
+/// The session's miner goes on to incremental rounds, so it keeps the
+/// frontier caches that IncPartMiner's delta sweep reads.
+PartMinerOptions IncrementalMinerOptions(PartMinerOptions options) {
+  options.keep_frontiers = true;
+  return options;
+}
+
 }  // namespace
 
 MinerSession::MinerSession(const SessionOptions& options)
@@ -76,7 +83,8 @@ Status MinerSession::Init(GraphDatabase db) {
   std::unique_lock lock(mu_);
   db_ = std::move(db);
   if (db_.empty()) return Status::InvalidArgument("empty database");
-  miner_ = std::make_unique<PartMiner>(options_.miner);
+  miner_ =
+      std::make_unique<PartMiner>(IncrementalMinerOptions(options_.miner));
   miner_->Mine(db_);
   epoch_ = 0;
   ready_ = true;
@@ -97,7 +105,8 @@ Status MinerSession::InitFromSnapshot(const std::string& db_path,
   PARTMINER_RETURN_IF_ERROR_CTX(ReadGraphDatabaseFile(db_path, &db),
                                 "restoring snapshot database");
   if (db.empty()) return Status::Corruption("snapshot database is empty");
-  auto miner = std::make_unique<PartMiner>(options_.miner);
+  auto miner =
+      std::make_unique<PartMiner>(IncrementalMinerOptions(options_.miner));
   PARTMINER_RETURN_IF_ERROR_CTX(LoadMinerStateFile(state_path, miner.get()),
                                 "restoring miner state");
   // Only adopt the new state once both halves restored; a failed restore

@@ -241,7 +241,10 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
 
   // Incremental round: mine, apply seeded updates, update incrementally,
   // and compare against a from-scratch re-mining of the updated database.
-  if (result.ok()) {
+  // Once from a state that kept its frontier caches (the delta sweep), once
+  // from a one-shot state without them (the re-sweep that captures them).
+  for (const bool keep_frontiers : {true, false}) {
+    if (!result.ok()) break;
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
 
@@ -250,6 +253,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     popt.max_edges = params.max_edges;
     popt.partition.k = params.k;
     popt.partition.seed = params.seed + 7;
+    popt.keep_frontiers = keep_frontiers;
     PartMiner miner(popt);
     miner.Mine(updated);
 
@@ -264,8 +268,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     // The incremental result is diffed against a fresh serial mining of the
     // updated database (itself already validated against the oracle above
     // on the pre-update database).
-    result.divergence =
-        DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
+    result.divergence = DiffAgainstOracle(
+        remined, inc_result.patterns,
+        keep_frontiers ? "incpartminer" : "incpartminer(no frontiers)");
     if (!result.divergence.empty()) {
       result.divergence =
           "after seeded updates to " +

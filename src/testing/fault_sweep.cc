@@ -168,9 +168,11 @@ FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed) {
   FaultSweepOutcome out;
   GraphDatabase db = GenerateDatabase(SweepDatabaseParams(seed + 1));
 
+  // A snapshot's state: frontier caches included, as a session keeps them.
   PartMinerOptions options;
   options.min_support_count = 4;
   options.partition.k = 2;
+  options.keep_frontiers = true;
   PartMiner miner(options);
   miner.Mine(db);
 

@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "adi/adi_miner.h"
 #include "common/random.h"
@@ -199,6 +204,46 @@ TEST(AdiMineTest, ScanSkipsGraphsWithoutFrequentEdges) {
   const PatternSet result = adi.Mine(options);
   ASSERT_EQ(result.size(), 1);
   EXPECT_EQ(result.patterns()[0].support, 3);
+}
+
+/// Names of the ADI page files in `dir`.
+std::vector<std::string> PageFilesIn(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("partminer_adi_", 0) == 0) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(AdiMineTest, DefaultPageFileHonoursTmpdir) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pm_adi_tmpdir_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", dir.c_str(), 1);
+
+  Rng rng(5);
+  const GraphDatabase db = testutil::RandomDatabase(&rng, 12, 8, 3, 3, 2);
+  {
+    AdiMine adi;  // No file_path: the miner picks its own page file.
+    ASSERT_TRUE(adi.BuildIndex(db).ok());
+    EXPECT_EQ(PageFilesIn(dir).size(), 1u);
+    MinerOptions options;
+    options.min_support = 3;
+    GSpanMiner gspan;
+    ExpectSameResults(gspan.Mine(db, options), adi.Mine(options), "tmpdir");
+  }
+  EXPECT_TRUE(PageFilesIn(dir).empty()) << "page file left behind";
+
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

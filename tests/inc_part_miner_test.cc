@@ -111,12 +111,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(IncPartMinerTest, ForcedDeltaPathStaysExactAcrossRounds) {
   // Force the frontier-backed delta sweep at every node for every round —
   // the path whose correctness depends on multi-round frontier maintenance
-  // (stripping, refresh, promotion, subtree cuts).
+  // (stripping, refresh, promotion, subtree cuts). The state carries the
+  // cache from Mine() on, as a long-lived session's does.
   GraphDatabase db = MakeDatabase(99);
   PartMinerOptions options;
   options.min_support_count = 4;
   options.partition.k = 3;
   options.inc_delta_sweep_max_fraction = 1.0;
+  options.keep_frontiers = true;
   PartMiner miner(options);
   miner.Mine(db);
 
@@ -199,10 +201,12 @@ TEST(IncPartMinerTest, UntouchedUnitsAreNotRemined) {
 }
 
 TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
+  // The first round already runs on the cache Mine() captured.
   GraphDatabase db = MakeDatabase(21, /*graphs=*/24);
   PartMinerOptions options;
   options.min_support_count = 5;
   options.partition.k = 2;
+  options.keep_frontiers = true;
   PartMiner miner(options);
   const PartMinerResult before = miner.Mine(db);
 
@@ -224,6 +228,43 @@ TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
   EXPECT_LE(result.verify_stats.graphs_examined,
             static_cast<int64_t>(log.updated_graphs.size()) *
                 (before.patterns.size() + 1));
+}
+
+TEST(IncPartMinerTest, ExactWithoutFrontiersFromMine) {
+  // One-shot options: Mine() captures no frontier, so the first round
+  // re-sweeps every node it touches (and captures there); the next round
+  // runs the delta sweep on that cache. Both stay exact.
+  GraphDatabase db = MakeDatabase(31);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  options.partition.k = 3;
+  options.inc_delta_sweep_max_fraction = 1.0;
+  PartMiner miner(options);
+  miner.Mine(db);
+  for (const NodeFrontier& frontier : miner.node_frontiers()) {
+    EXPECT_FALSE(frontier.valid);
+    EXPECT_TRUE(frontier.map.empty());
+  }
+
+  GSpanMiner gspan;
+  MinerOptions full;
+  full.min_support = 4;
+
+  IncPartMiner inc;
+  for (int round = 0; round < 3; ++round) {
+    UpdateOptions upd;
+    upd.fraction_graphs = 0.3;
+    upd.seed = 5000 + round;
+    const UpdateLog log = ApplyUpdates(&db, 5, upd);
+    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    ExpectSameResults(gspan.Mine(db, full), result.patterns,
+                      "round " + std::to_string(round));
+    if (round == 0) {
+      // No cache yet: nothing was delta-recounted.
+      EXPECT_EQ(result.merge_stats.delta_recounts, 0);
+    }
+  }
+  EXPECT_TRUE(miner.node_frontiers()[miner.partitioned().root()].valid);
 }
 
 TEST(IncPartMinerTest, RequiresMinedState) {

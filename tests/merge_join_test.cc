@@ -200,9 +200,68 @@ TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
       }
       if (delta_threshold == 1.0) {
         EXPECT_EQ(stats.delta_recounts, cached.size());
+        // An entry with no occurrence left is dropped, not kept empty.
+        for (const auto& [code, tids] : frontier.map) {
+          EXPECT_FALSE(tids.Empty()) << code.ToString();
+        }
       }
     }
   }
+}
+
+Graph SingleEdge(Label a, Label b) {
+  Graph g;
+  g.AddVertex(a);
+  g.AddVertex(b);
+  g.AddEdge(0, 1, 0);
+  return g;
+}
+
+/// A cached pattern that falls below the threshold in a round where it
+/// keeps no occurrence in the updated graphs must still be counted from its
+/// remaining occurrences when a later round brings it back.
+TEST(IncMergeJoinTest, PatternThatDropsAndReturnsKeepsItsOldOccurrences) {
+  // The 0-1 edge sits in graphs 0-2: exactly at support 3.
+  GraphDatabase db;
+  for (int i = 0; i < 3; ++i) db.Add(SingleEdge(0, 1));
+  for (int i = 3; i < 10; ++i) db.Add(SingleEdge(2, 3));
+  const int sup = 3;
+  const DfsCode edge01 = MinimumDfsCode(SingleEdge(0, 1));
+
+  GSpanMiner miner;
+  MinerOptions options;
+  options.min_support = sup;
+  NodeFrontier frontier;
+  frontier.valid = true;
+  options.capture_frontier = &frontier.map;
+  PatternSet cached = miner.Mine(db, options);
+  options.capture_frontier = nullptr;
+  ASSERT_TRUE(cached.Contains(edge01));
+
+  MergeJoinOptions mj;
+  mj.min_support = sup;
+  mj.delta_sweep_max_fraction = 1.0;  // Delta sweep in both rounds.
+
+  // Round 1: graph 0 loses the edge (support 2, dropped); the updated
+  // graph no longer holds it, so the sweep never reaches it.
+  db.mutable_graph(0).set_vertex_label(1, 3);
+  cached = IncMergeJoin(db, cached, {0}, mj, nullptr, &frontier);
+  EXPECT_EQ(miner.Mine(db, options).SortedCodeStrings(),
+            cached.SortedCodeStrings());
+  EXPECT_FALSE(cached.Contains(edge01));
+
+  // Round 2: graph 3 gains the edge. True support is {1, 2, 3}.
+  db.mutable_graph(3).set_vertex_label(0, 0);
+  db.mutable_graph(3).set_vertex_label(1, 1);
+  cached = IncMergeJoin(db, cached, {3}, mj, nullptr, &frontier);
+  EXPECT_EQ(miner.Mine(db, options).SortedCodeStrings(),
+            cached.SortedCodeStrings());
+  const PatternInfo* back = cached.Find(edge01);
+  ASSERT_NE(back, nullptr) << "the returning pattern was lost";
+  EXPECT_EQ(back->support, 3);
+  EXPECT_EQ(back->tids.ToVector(), (std::vector<int>{1, 2, 3}));
+  // Promoted back to a pattern: the cache holds it once, not twice.
+  EXPECT_EQ(frontier.map.count(edge01), 0u);
 }
 
 TEST(IncMergeJoinTest, NoUpdatesIsCheapIdentity) {

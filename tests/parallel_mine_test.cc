@@ -103,22 +103,49 @@ TEST(ParallelMineTest, GastonIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelMineTest, PartMinerIdenticalAcrossThreadCounts) {
+  // One pool per run carries the units and every merge sweep, the root's
+  // included; the one-shot result and, with keep_frontiers, the captured
+  // caches must not depend on its width.
   const GraphDatabase db = DenseDatabase(13);
 
-  PartMinerOptions serial;
-  serial.min_support_count = 3;
-  serial.partition.k = 4;
-  serial.unit_mining_threads = 0;
-  PartMiner serial_miner(serial);
-  const PatternSet expected = serial_miner.Mine(db).patterns;
-  ASSERT_GT(expected.size(), 0);
+  for (const bool keep_frontiers : {false, true}) {
+    PartMinerOptions serial;
+    serial.min_support_count = 3;
+    serial.partition.k = 4;
+    serial.unit_mining_threads = 0;
+    serial.keep_frontiers = keep_frontiers;
+    PartMiner serial_miner(serial);
+    const PartMinerResult expected = serial_miner.Mine(db);
+    ASSERT_GT(expected.patterns.size(), 0);
 
-  for (const int threads : {1, 2, 8}) {
-    PartMinerOptions options = serial;
-    options.unit_mining_threads = threads;
-    PartMiner miner(options);
-    ExpectBitIdentical(expected, miner.Mine(db).patterns,
-                       "partminer threads=" + std::to_string(threads));
+    for (const int threads : {0, 1, 2, 4, 8}) {
+      PartMinerOptions options = serial;
+      options.unit_mining_threads = threads;
+      PartMiner miner(options);
+      const PartMinerResult got = miner.Mine(db);
+      const std::string what = "partminer threads=" + std::to_string(threads) +
+                               " keep_frontiers=" +
+                               std::to_string(keep_frontiers);
+      ExpectBitIdentical(expected.patterns, got.patterns, what);
+      for (size_t node = 0; node < serial_miner.node_patterns().size();
+           ++node) {
+        ExpectBitIdentical(serial_miner.node_patterns()[node],
+                           miner.node_patterns()[node],
+                           what + " node " + std::to_string(node));
+        EXPECT_EQ(serial_miner.node_frontiers()[node].valid,
+                  miner.node_frontiers()[node].valid)
+            << what << " node " << node;
+        EXPECT_TRUE(serial_miner.node_frontiers()[node].map ==
+                    miner.node_frontiers()[node].map)
+            << what << " frontier diverged at node " << node;
+      }
+      EXPECT_EQ(expected.merge_stats.candidates_counted,
+                got.merge_stats.candidates_counted)
+          << what;
+      EXPECT_EQ(expected.merge_stats.spanning_found,
+                got.merge_stats.spanning_found)
+          << what;
+    }
   }
 }
 

@@ -148,6 +148,34 @@ TEST(PartMinerTest, ParallelUnitMiningMatchesSerial) {
                     "parallel unit mining");
 }
 
+TEST(PartMinerTest, FrontiersKeptOnlyAtLeavesAndRootOnRequest) {
+  Rng rng(17);
+  const GraphDatabase db = testutil::RandomDatabase(&rng, 16, 8, 3, 3, 2);
+  for (const bool keep : {false, true}) {
+    PartMinerOptions options;
+    options.min_support_count = 3;
+    options.partition.k = 4;  // Two interior nodes below the root.
+    options.keep_frontiers = keep;
+    PartMiner miner(options);
+    const PartMinerResult r = miner.Mine(db);
+    ASSERT_GT(r.patterns.size(), 0);
+
+    const std::vector<MergeTreeNode>& tree = miner.partitioned().tree();
+    int captured = 0;
+    for (size_t node = 0; node < tree.size(); ++node) {
+      const bool read_later =
+          tree[node].left == -1 ||
+          static_cast<int>(node) == miner.partitioned().root();
+      const NodeFrontier& frontier = miner.node_frontiers()[node];
+      EXPECT_EQ(frontier.valid, keep && read_later)
+          << "keep=" << keep << " node " << node;
+      if (!frontier.valid) EXPECT_TRUE(frontier.map.empty()) << node;
+      captured += frontier.map.empty() ? 0 : 1;
+    }
+    if (keep) EXPECT_GT(captured, 0);
+  }
+}
+
 TEST(PartMinerTest, MaxEdgesRespected) {
   Rng rng(8);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 8, 3, 3, 2);

@@ -58,10 +58,12 @@ TEST(StateIoTest, RoundTripPreservesVerifiedResult) {
 TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
   // The whole point: a restarted process resumes incremental maintenance
   // from the persisted state with exact results.
+  // The state carries its frontier caches, as a session's does.
   GraphDatabase db = MakeDatabase(9);
   PartMinerOptions options;
   options.min_support_count = 4;
   options.partition.k = 4;
+  options.keep_frontiers = true;
   PartMiner miner(options);
   miner.Mine(db);
 
@@ -69,6 +71,14 @@ TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
   ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
   PartMiner restored(options);
   ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
+  ASSERT_EQ(miner.node_frontiers().size(), restored.node_frontiers().size());
+  for (size_t node = 0; node < miner.node_frontiers().size(); ++node) {
+    EXPECT_EQ(miner.node_frontiers()[node].valid,
+              restored.node_frontiers()[node].valid);
+    EXPECT_TRUE(miner.node_frontiers()[node].map ==
+                restored.node_frontiers()[node].map)
+        << "frontier of node " << node;
+  }
 
   UpdateOptions upd;
   upd.fraction_graphs = 0.3;

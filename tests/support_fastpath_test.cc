@@ -7,6 +7,7 @@
 // every miner in the repo, at several thread counts.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,13 @@ struct FastPathCase {
   std::string miner;
   int threads;  // PartMiner unit-mining threads; batch miners ignore it.
 };
+
+// Without this, GoogleTest prints the parameter as raw bytes, which include
+// the std::string's heap pointer: the "# GetParam() = ..." suffix that ctest
+// discovery bakes into the test name would then change on every relink.
+void PrintTo(const FastPathCase& c, std::ostream* os) {
+  *os << c.miner << " threads=" << c.threads;
+}
 
 class FastPathEquivalence : public ::testing::TestWithParam<FastPathCase> {};
 

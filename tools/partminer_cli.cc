@@ -22,11 +22,11 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "adi/adi_index.h"
@@ -126,9 +126,13 @@ void WarnUnknownFlags(const std::map<std::string, std::string>& flags,
 void StorageFootprintProbe(const GraphDatabase& db, PoolSizing sizing) {
   PM_TRACE_SPAN("storage_probe", {{"graphs", db.size()}});
   DiskManager disk;
-  std::ostringstream path;
-  path << "/tmp/partminer_probe_" << ::getpid() << ".pages";
-  if (!disk.Open(path.str()).ok()) return;
+  std::error_code error;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path(error);
+  if (error) return;
+  const std::filesystem::path path =
+      dir / ("partminer_probe_" + std::to_string(::getpid()) + ".pages");
+  if (!disk.Open(path.string()).ok()) return;
   // Two frames: the sweep must evict and re-read, so the probe exercises the
   // whole write/evict/read path rather than staying pool-resident. The
   // engine (and writer-thread count) still follow the configured flags.
